@@ -34,8 +34,11 @@ int main() {
       for (const auto& path : schedule.configuration(slot).paths()) {
         if (!first) out += " ";
         first = false;
-        out += "(" + std::to_string(path.request.src) + "," +
-               std::to_string(path.request.dst) + ")";
+        out += '(';
+        out += std::to_string(path.request.src);
+        out += ',';
+        out += std::to_string(path.request.dst);
+        out += ')';
       }
       out += "} ";
     }

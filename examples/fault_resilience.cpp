@@ -123,10 +123,10 @@ int main(int argc, char** argv) {
     const auto& params = grid.dynamic.back().params;
     const auto& messages = grid.phases.front().messages;
     obs::Trace trace;
-    sim::SimOptions options;
-    options.faults = &sweep.timelines.back();
-    if (args.has("trace")) options.trace = &trace;
-    const auto run = sim::simulate_dynamic(net, messages, params, options);
+    sim::SimOptions sim_options;
+    sim_options.faults = &sweep.timelines.back();
+    if (args.has("trace")) sim_options.trace = &trace;
+    const auto run = sim::simulate_dynamic(net, messages, params, sim_options);
     if (args.has("trace")) {
       std::ofstream out(args.get("trace"));
       trace.write_chrome(out);

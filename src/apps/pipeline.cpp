@@ -293,7 +293,7 @@ PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern,
                                          obs::SchedCounters* counters) {
   const bool combined = compiler_ != nullptr;
   if (!cache_)
-    return PhaseCompilation{cold_compile(pattern, counters), false, false};
+    return PhaseCompilation{cold_compile(pattern, counters), false, false, {}};
 
   const CacheStats before = cache_->stats();
   const auto key = make_cache_key(*net_, pattern, scheduler_->name(),

@@ -62,6 +62,14 @@ std::string key_topology(const std::string& canonical) {
   return canonical.substr(value, end - value);
 }
 
+/// The memory tier's entry invariant: a schedule realizes its key's
+/// pattern.  Throws the structured failure a request for it reports.
+void require_valid(const CacheKey& key, const CachedCompilation& value) {
+  if (const auto err = value.schedule.validate_against(key.pattern))
+    throw util::Failure(util::FailureCode::kSvcInternal,
+                        "compiled schedule failed validation: " + *err);
+}
+
 std::size_t round_up_pow2(std::size_t value) {
   std::size_t pow2 = 1;
   while (pow2 < value) pow2 <<= 1;
@@ -167,7 +175,9 @@ CachedCompilation ScheduleCache::get_or_compute(
     ++shard.stats.misses;
     lock.unlock();
     if (computed) *computed = true;
-    return compute();
+    CachedCompilation value = compute();
+    require_valid(key, value);
+    return value;
   }
 
   for (;;) {
@@ -200,6 +210,7 @@ CachedCompilation ScheduleCache::get_or_compute(
   CachedCompilation value;
   try {
     value = compute();
+    require_valid(key, value);
     if (options_.keep_text && value.schedule_text.empty()) {
       std::ostringstream text;
       io::write_schedule(text, *net_, value.schedule);
@@ -230,6 +241,7 @@ void ScheduleCache::store(const CacheKey& key, const CachedCompilation& value) {
   std::string canonical = key.canonical();
   Shard& shard = shard_of(util::fnv1a64(canonical));
 
+  require_valid(key, value);
   CachedCompilation copy = value;
   if (options_.keep_text && copy.schedule_text.empty()) {
     // Serialize before taking the lock — the text is pure function of the
@@ -329,6 +341,15 @@ std::optional<CachedCompilation> ScheduleCache::disk_lookup(
     // The schedule body failed link-by-link revalidation against the
     // network — tampered or mismatched.  Quarantine; the next store
     // rewrites the address.
+    ++shard.stats.disk_rejects;
+    quarantine_locked(path, shard.stats);
+    return std::nullopt;
+  }
+  // The key matched and the links check out, but the schedule must also
+  // realize the key's pattern before it enters the memory tier: an entry
+  // that drops, duplicates or conflicts a connection is as corrupt as a
+  // torn one.
+  if (loaded.schedule.validate_against(key.pattern)) {
     ++shard.stats.disk_rejects;
     quarantine_locked(path, shard.stats);
     return std::nullopt;

@@ -45,6 +45,15 @@
 ///    survives for post-mortem — then treated as misses and rewritten by
 ///    the next store.
 ///
+/// **Validated at entry.**  Every schedule is checked against its key's
+/// pattern (`core::Schedule::validate_against`) before it enters the
+/// memory tier: fresh computes, `store`, and disk promotion alike.  A
+/// schedule that fails is never stored — a compute or store throws the
+/// structured `svc-internal` failure, a disk entry is quarantined and
+/// treated as a miss.  Keys compare by their full canonical string, so a
+/// hit is the validated schedule for exactly its pattern and needs no
+/// re-check (`svc::Engine` validates only uncached compiles).
+///
 /// The disk tier is crash-safe and multi-process-safe.  A store commits
 /// via exclusive-temp / write / fsync / rename: the temp name embeds the
 /// writer's pid (shard workers sharing one `--cache-dir` never collide),
@@ -169,7 +178,7 @@ class ScheduleCache {
   };
 
   /// `net` must outlive the cache; the disk tier revalidates loaded
-  /// schedules link by link against it.
+  /// schedules link by link against it, then against the key's pattern.
   explicit ScheduleCache(const topo::Network& net);
   ScheduleCache(const topo::Network& net, Options options);
 
@@ -189,8 +198,10 @@ class ScheduleCache {
   /// caller's compute instead of duplicating it, then count as memory
   /// hits.  On return, `*computed` says whether *this* call paid the
   /// compute and `*from_disk` whether its hit came from the disk tier.
-  /// If `compute` throws, the exception propagates to this caller only
-  /// and one waiter (if any) takes over the compute.
+  /// If `compute` throws, or its schedule fails validation against
+  /// `key.pattern` (`util::Failure`, svc-internal; nothing is stored), the
+  /// exception propagates to this caller only and one waiter (if any)
+  /// takes over the compute.
   CachedCompilation get_or_compute(
       const CacheKey& key,
       const std::function<CachedCompilation()>& compute,
@@ -198,7 +209,9 @@ class ScheduleCache {
 
   /// Inserts (or refreshes) an entry; evicts the least-recently-used
   /// entry of the key's shard when over budget, and (when the disk tier
-  /// is enabled) rewrites the on-disk document.
+  /// is enabled) rewrites the on-disk document.  Throws `util::Failure`
+  /// (svc-internal), storing nothing, if `value.schedule` fails
+  /// validation against `key.pattern`.
   void store(const CacheKey& key, const CachedCompilation& value);
 
   /// Aggregate traffic counters since construction (sum over shards).

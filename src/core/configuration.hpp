@@ -19,7 +19,7 @@ namespace optdm::core {
 /// The class maintains the union of all member occupancies so membership
 /// tests are O(words).  `add` refuses conflicting paths, keeping the
 /// invariant "no two member paths share a directed link" true by
-/// construction; `validate` re-checks it from scratch for tests.
+/// construction; `validate` re-checks it from scratch.
 class Configuration {
  public:
   Configuration() = default;
@@ -42,8 +42,11 @@ class Configuration {
   /// Union of all member link occupancies.
   const LinkSet& used_links() const noexcept { return used_; }
 
-  /// Exhaustive pairwise re-validation (independent of the incremental
-  /// bookkeeping); returns a description of the first violation found.
+  /// Re-validation independent of the incremental bookkeeping: one pass
+  /// over the members' own occupancies, O(paths x words).  On a clash it
+  /// names the first conflicting pair in member order; returns nullopt if
+  /// the configuration is conflict-free.  Throws `std::invalid_argument`
+  /// if members belong to networks of different link counts.
   std::optional<std::string> validate() const;
 
  private:

@@ -22,9 +22,11 @@ std::string port_name(const topo::Network& net, topo::LinkId id) {
   }
   if (link.dim >= 0) {
     const char axis = link.dim == 0 ? 'x' : link.dim == 1 ? 'y' : 'z';
-    return std::string(1, axis) + (link.dir > 0 ? "+" : "-");
+    return std::string{axis, link.dir > 0 ? '+' : '-'};
   }
-  return "L" + std::to_string(id);
+  std::string name = "L";
+  name += std::to_string(id);
+  return name;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -12,14 +11,37 @@ namespace optdm::obs {
 
 namespace {
 
-/// Accumulates per-link busy slots into a sparse map and converts to the
-/// report's sorted, zero-free vector.
-std::vector<LinkUsage> to_link_usage(const std::map<int, std::int64_t>& busy) {
-  std::vector<LinkUsage> out;
-  out.reserve(busy.size());
-  for (const auto& [link, slots] : busy)
-    if (slots > 0) out.push_back(LinkUsage{link, slots});
-  return out;
+/// Per-link busy slots, indexed by link id: ids are dense, so a flat
+/// tally replaces an ordered map and converts to the report's ascending,
+/// zero-free vector in one scan.
+class LinkTally {
+ public:
+  explicit LinkTally(int link_count)
+      : busy_(static_cast<std::size_t>(std::max(link_count, 0)), 0) {}
+
+  void add(topo::LinkId link, std::int64_t slots) {
+    const auto index = static_cast<std::size_t>(link);
+    if (index >= busy_.size()) busy_.resize(index + 1, 0);
+    busy_[index] += slots;
+  }
+
+  std::vector<LinkUsage> usage() const {
+    std::vector<LinkUsage> out;
+    for (std::size_t link = 0; link < busy_.size(); ++link)
+      if (busy_[link] > 0)
+        out.push_back(LinkUsage{static_cast<int>(link), busy_[link]});
+    return out;
+  }
+
+ private:
+  std::vector<std::int64_t> busy_;
+};
+
+/// Link universe of a schedule's paths (0 for an empty schedule).
+int link_count_of(const core::Schedule& schedule) {
+  return schedule.degree() == 0
+             ? 0
+             : schedule.configuration(0).used_links().universe_size();
 }
 
 void count_outcomes(RunReport& report,
@@ -60,7 +82,7 @@ RunReport report_compiled(const core::Schedule& schedule,
   report.ctrl_dropped = result.faults.ctrl_dropped;
   report.payloads_lost = result.faults.payloads_lost;
 
-  std::map<int, std::int64_t> busy;
+  LinkTally busy(link_count_of(schedule));
   std::vector<std::int64_t> slot_busy(
       static_cast<std::size_t>(std::max(schedule.degree(), 1)), 0);
   for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -75,11 +97,11 @@ RunReport report_compiled(const core::Schedule& schedule,
           "report_compiled: message request not in its slot's configuration");
     const auto link_slots =
         messages[i].slots * static_cast<std::int64_t>(path->links.size());
-    for (const auto link : path->links) busy[static_cast<int>(link)] += messages[i].slots;
+    for (const auto link : path->links) busy.add(link, messages[i].slots);
     report.payload_link_slots += link_slots;
     slot_busy[static_cast<std::size_t>(stats.slot)] += link_slots;
   }
-  report.links = to_link_usage(busy);
+  report.links = busy.usage();
 
   for (int slot = 0; slot < schedule.degree(); ++slot) {
     const auto& config = schedule.configuration(slot);
@@ -116,7 +138,7 @@ RunReport report_dynamic(const topo::Network& net,
   report.ctrl_dropped = result.faults.ctrl_dropped;
   report.payloads_lost = result.faults.payloads_lost;
 
-  std::map<int, std::int64_t> busy;
+  LinkTally busy(net.link_count());
   std::int64_t established_count = 0;
   std::int64_t establishment_wait = 0;
   for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -131,12 +153,11 @@ RunReport report_dynamic(const topo::Network& net,
     ++established_count;
     if (stats.issued >= 0) establishment_wait += stats.established - stats.issued;
     const auto path = core::make_path(net, messages[i].request);
-    for (const auto link : path.links)
-      busy[static_cast<int>(link)] += messages[i].slots;
+    for (const auto link : path.links) busy.add(link, messages[i].slots);
     report.payload_link_slots +=
         messages[i].slots * static_cast<std::int64_t>(path.links.size());
   }
-  report.links = to_link_usage(busy);
+  report.links = busy.usage();
 
   if (report.total_retries - report.timeouts > 0)
     report.stalls.push_back(
@@ -162,7 +183,7 @@ RunReport report_schedule(const core::Schedule& schedule,
   report.degree = schedule.degree();
   report.total_slots = schedule.degree();
 
-  std::map<int, std::int64_t> busy;
+  LinkTally busy(link_count_of(schedule));
   for (int slot = 0; slot < schedule.degree(); ++slot) {
     const auto& config = schedule.configuration(slot);
     SlotOccupancy occ;
@@ -176,10 +197,10 @@ RunReport report_schedule(const core::Schedule& schedule,
         universe > 0 ? static_cast<double>(occ.links_used) / universe : 0.0;
     report.slots.push_back(occ);
     for (const auto& path : config.paths())
-      for (const auto link : path.links) busy[static_cast<int>(link)] += 1;
+      for (const auto link : path.links) busy.add(link, 1);
     report.payload_link_slots += occ.links_used;
   }
-  report.links = to_link_usage(busy);
+  report.links = busy.usage();
   if (counters) report.sched = *counters;
   return report;
 }

@@ -42,9 +42,10 @@ double priority_value(ColoringPriority rule, int length, int dynamic_degree,
 core::Schedule coloring_paths(const topo::Network& net,
                               std::span<const core::Path> paths,
                               ColoringPriority rule,
-                              obs::SchedCounters* counters) {
+                              obs::SchedCounters* counters, int* clique) {
   const auto n = static_cast<std::int32_t>(paths.size());
   core::Schedule schedule;
+  if (clique) *clique = 0;
   if (n == 0) {
     if (counters) {
       counters->conflict_vertices = 0;
@@ -63,6 +64,7 @@ core::Schedule coloring_paths(const topo::Network& net,
     counters->conflict_vertices = graph.vertex_count();
     counters->conflict_edges = static_cast<std::int64_t>(graph.edge_count());
   }
+  if (clique) *clique = static_cast<int>(graph.heuristic_clique().size());
 
   // Per-vertex scheduling state, packed so the neighbor-update loop (the
   // hottest loop of the whole compiler) touches one cache line per vertex.

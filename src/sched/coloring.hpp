@@ -49,11 +49,14 @@ enum class ColoringPriority {
 
 /// Coloring-based scheduling over pre-routed paths.  A non-null
 /// `counters` receives conflict-graph size, pass count, and phase
-/// timings; null skips all measurement.
+/// timings; null skips all measurement.  A non-null `clique` receives the
+/// size of the conflict graph's `heuristic_clique` (0 for no paths), so a
+/// caller that wants the clique bound reuses the graph built here instead
+/// of building it again; null skips the clique.
 core::Schedule coloring_paths(
     const topo::Network& net, std::span<const core::Path> paths,
     ColoringPriority priority = ColoringPriority::kDegreeTimesLength,
-    obs::SchedCounters* counters = nullptr);
+    obs::SchedCounters* counters = nullptr, int* clique = nullptr);
 
 /// Convenience overload with deterministic routing.
 core::Schedule coloring(

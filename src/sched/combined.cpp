@@ -1,5 +1,9 @@
 #include "sched/combined.hpp"
 
+#include <algorithm>
+#include <vector>
+
+#include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 #include "sched/ordered_aapc.hpp"
 #include "util/parallel.hpp"
@@ -9,6 +13,13 @@ namespace optdm::sched {
 CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
                                     const core::RequestSet& requests,
                                     obs::SchedCounters* counters) {
+  return combined_with_winner(aapc, requests, counters, nullptr);
+}
+
+CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
+                                    const core::RequestSet& requests,
+                                    obs::SchedCounters* counters,
+                                    int* lower_bound) {
   // The two component algorithms are independent, so the compiler runs
   // them concurrently; the winner rule below is evaluated after both
   // finish, so the result does not depend on which branch completes first.
@@ -20,10 +31,21 @@ CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
   obs::SchedCounters aapc_counters;
   util::parallel_invoke(
       [&] {
-        by_coloring =
-            coloring(aapc.network(), requests,
-                     ColoringPriority::kDegreeTimesLength,
-                     counters ? &coloring_counters : nullptr);
+        // `coloring(net, requests)` spelled out, keeping the routes and
+        // the graph's clique for the bound.
+        obs::SchedCounters* measured = counters ? &coloring_counters : nullptr;
+        std::vector<core::Path> paths;
+        {
+          obs::PhaseTimer timer(measured, &obs::SchedCounters::route_ns);
+          paths = core::route_all(aapc.network(), requests);
+        }
+        int clique = 0;
+        by_coloring = coloring_paths(aapc.network(), paths,
+                                     ColoringPriority::kDegreeTimesLength,
+                                     measured, lower_bound ? &clique : nullptr);
+        if (lower_bound)
+          *lower_bound =
+              std::max(link_congestion_bound(aapc.network(), paths), clique);
       },
       [&] {
         obs::PhaseTimer timer(counters ? &aapc_counters : nullptr,

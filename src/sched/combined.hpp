@@ -32,6 +32,17 @@ CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
                                     const core::RequestSet& requests,
                                     obs::SchedCounters* counters = nullptr);
 
+/// As above; a non-null `lower_bound` also receives the pattern's degree
+/// lower bound, `multiplexing_lower_bound(net, route_all(net, requests))`.
+/// It is taken from the coloring branch's own routes and conflict graph
+/// (the same default routes, the same heuristic clique), so the value is
+/// identical to that call without a second routing or graph build, and
+/// it is computed beside the ordered-AAPC branch.
+CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
+                                    const core::RequestSet& requests,
+                                    obs::SchedCounters* counters,
+                                    int* lower_bound);
+
 /// Convenience wrapper discarding provenance.
 core::Schedule combined(const aapc::TorusAapc& aapc,
                         const core::RequestSet& requests);

@@ -115,9 +115,12 @@ CompileResponse Engine::compile(const CompileRequest& request) {
   obs::SchedCounters counters;
   auto result = entry.pipeline->compile_phase(request.pattern, &counters);
   const auto& schedule = result.phase.schedule;
-  if (const auto err = schedule.validate_against(request.pattern))
-    throw Failure(FailureCode::kSvcInternal,
-                  "compiled schedule failed validation: " + *err);
+  // A cached pipeline validated the schedule when it entered the cache
+  // (`apps::ScheduleCache`), so only an uncached compile is checked here.
+  if (!entry.pipeline->cache())
+    if (const auto err = schedule.validate_against(request.pattern))
+      throw Failure(FailureCode::kSvcInternal,
+                    "compiled schedule failed validation: " + *err);
 
   CompileResponse response;
   response.degree = schedule.degree();

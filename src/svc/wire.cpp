@@ -47,19 +47,6 @@ std::size_t read_exact(int fd, unsigned char* out, std::size_t n) {
   return got;
 }
 
-void write_exact(int fd, const unsigned char* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::write(fd, data + sent, n - sent);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw util::Failure(util::FailureCode::kSvcIo,
-                          std::string("write: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-}
-
 }  // namespace
 
 std::string_view to_string(FrameType type) {

@@ -3,6 +3,7 @@
 #include "apps/compiler.hpp"
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
+#include "sched/bounds.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -29,6 +30,39 @@ TEST(Compiler, AllToAllCompilesToSixtyFour) {
   EXPECT_EQ(compiled.schedule.degree(), 64);
   EXPECT_EQ(compiled.winner, sched::CombinedWinner::kOrderedAapc);
   EXPECT_EQ(compiled.lower_bound, 64);
+}
+
+// The compiler takes its bound from the coloring branch's routes and
+// conflict graph; it must equal the bound computed from scratch on the
+// default routes, on every input shape a compile sees.
+void expect_bound_matches_routed_bound(const topo::TorusNetwork& net,
+                                       const core::RequestSet& pattern) {
+  const auto compiled = CommCompiler(net).compile(pattern);
+  const auto paths = core::route_all(net, pattern);
+  EXPECT_EQ(compiled.lower_bound, sched::multiplexing_lower_bound(net, paths))
+      << net.name() << ", " << pattern.size() << " connections";
+}
+
+TEST(Compiler, LowerBoundIsTheRoutedBoundOnTableOneSizes) {
+  topo::TorusNetwork small(8, 8);
+  topo::TorusNetwork large(16, 16);
+  util::Rng rng(1996);
+  for (const int conns : {100, 400, 800, 1200, 1600, 2000, 2800, 4000})
+    expect_bound_matches_routed_bound(
+        small, patterns::random_pattern(small.node_count(), conns, rng));
+  for (const int conns : {100, 1000, 4000})
+    expect_bound_matches_routed_bound(
+        large, patterns::random_pattern(large.node_count(), conns, rng));
+}
+
+TEST(Compiler, LowerBoundIsTheRoutedBoundOnEdgePatterns) {
+  for (const int side : {8, 16}) {
+    topo::TorusNetwork net(side, side);
+    expect_bound_matches_routed_bound(net, {});
+    expect_bound_matches_routed_bound(net, {{0, net.node_count() - 1}});
+  }
+  topo::TorusNetwork net(8, 8);
+  expect_bound_matches_routed_bound(net, patterns::all_to_all(64));
 }
 
 TEST(Compiler, ExecutePredictsGsTimes) {

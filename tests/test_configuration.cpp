@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/configuration.hpp"
 #include "core/linkset.hpp"
 #include "core/schedule.hpp"
 #include "topo/line.hpp"
 #include "topo/torus.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -116,6 +121,80 @@ TEST(ConfigurationTest, AddRefusesConflicts) {
   EXPECT_TRUE(config.add(make_path(net, {3, 4})));
   EXPECT_EQ(config.size(), 2u);
   EXPECT_EQ(config.validate(), std::nullopt);
+}
+
+// The pairwise scan `Configuration::validate` ran before its one-pass
+// rewrite, kept as the oracle: the rewrite must give the same verdict, the
+// same message and the same throw on every configuration.
+std::string pairwise_verdict(const Configuration& config) {
+  const auto& paths = config.paths();
+  try {
+    for (std::size_t i = 0; i < paths.size(); ++i)
+      for (std::size_t j = i + 1; j < paths.size(); ++j)
+        if (paths[i].conflicts_with(paths[j]))
+          return "configuration conflict between (" +
+                 std::to_string(paths[i].request.src) + "->" +
+                 std::to_string(paths[i].request.dst) + ") and (" +
+                 std::to_string(paths[j].request.src) + "->" +
+                 std::to_string(paths[j].request.dst) + ")";
+    return "valid";
+  } catch (const std::invalid_argument& e) {
+    return std::string("throws: ") + e.what();
+  }
+}
+
+std::string verdict(const Configuration& config) {
+  try {
+    const auto err = config.validate();
+    return err ? *err : "valid";
+  } catch (const std::invalid_argument& e) {
+    return std::string("throws: ") + e.what();
+  }
+}
+
+/// Overwrites a member's occupancy behind the bookkeeping: the corruption
+/// `validate` exists to catch, and one `add` alone can never produce.
+void overwrite_occupancy(Configuration& config, std::size_t member,
+                         LinkSet occupancy) {
+  auto& paths = const_cast<std::vector<core::Path>&>(config.paths());
+  paths[member].occupancy = std::move(occupancy);
+}
+
+TEST(ConfigurationTest, OnePassValidateMatchesPairwiseOracle) {
+  topo::TorusNetwork net(8, 8);
+  util::Rng rng(2024);
+  int clashes = 0;
+  int mismatches = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Configuration config(net.link_count());
+    for (int attempt = 0; attempt < 40; ++attempt) {
+      const auto src = static_cast<topo::NodeId>(rng.uniform(0, 63));
+      const auto dst = static_cast<topo::NodeId>(rng.uniform(0, 63));
+      if (src != dst) (void)config.add(make_path(net, {src, dst}));
+    }
+    const auto last = static_cast<std::int64_t>(config.size()) - 1;
+    ASSERT_GE(last, 1);
+    const auto pick = [&] { return static_cast<std::size_t>(rng.uniform(0, last)); };
+    // Trial kinds: untouched; one or two members given another member's
+    // links; a member moved to another network's link universe, alone or
+    // after a clash.
+    const int kind = trial % 5;
+    for (int c = 0; c < (kind == 2 ? 2 : kind == 1 || kind == 4 ? 1 : 0); ++c) {
+      const auto from = pick();
+      const auto to = pick();
+      if (from != to)
+        overwrite_occupancy(config, to, config.paths()[from].occupancy);
+    }
+    if (kind >= 3) overwrite_occupancy(config, pick(), LinkSet(100));
+
+    const auto expected = pairwise_verdict(config);
+    EXPECT_EQ(verdict(config), expected) << "trial " << trial;
+    clashes += expected.rfind("configuration conflict", 0) == 0;
+    mismatches += expected.rfind("throws: ", 0) == 0;
+  }
+  // Every branch of the oracle was exercised.
+  EXPECT_GT(clashes, 100);
+  EXPECT_GT(mismatches, 50);
 }
 
 TEST(ConfigurationTest, AcceptsIsNonMutating) {

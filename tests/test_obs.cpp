@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "apps/compiler.hpp"
@@ -194,6 +195,62 @@ TEST(RunReport, LinkSlotsSumToAggregateForAllEngines) {
   check(obs::report_dynamic(w.net, w.messages, dyn, w.params));
 
   check(obs::report_schedule(phase.schedule, &counters));
+}
+
+// `report_schedule` as it was written over a `std::map` link tally, kept
+// as the oracle for the flat tally: the JSON must stay byte-identical.
+obs::RunReport map_report_schedule(const core::Schedule& schedule,
+                                   const obs::SchedCounters* counters) {
+  obs::RunReport report;
+  report.engine = "scheduler";
+  report.degree = schedule.degree();
+  report.total_slots = schedule.degree();
+  std::map<int, std::int64_t> busy;
+  for (int slot = 0; slot < schedule.degree(); ++slot) {
+    const auto& config = schedule.configuration(slot);
+    obs::SlotOccupancy occ;
+    occ.slot = slot;
+    occ.connections = static_cast<int>(config.size());
+    occ.links_used = config.used_links().count();
+    occ.busy_slots = occ.links_used;
+    const int universe = config.used_links().universe_size();
+    occ.utilization =
+        universe > 0 ? static_cast<double>(occ.links_used) / universe : 0.0;
+    report.slots.push_back(occ);
+    for (const auto& path : config.paths())
+      for (const auto link : path.links) busy[static_cast<int>(link)] += 1;
+    report.payload_link_slots += occ.links_used;
+  }
+  for (const auto& [link, slots] : busy)
+    if (slots > 0) report.links.push_back(obs::LinkUsage{link, slots});
+  if (counters) report.sched = *counters;
+  return report;
+}
+
+std::string json_of(const obs::RunReport& report) {
+  std::ostringstream out;
+  report.write_json(out);
+  return out.str();
+}
+
+TEST(RunReport, ScheduleReportMatchesTheMapOracleByteForByte) {
+  util::Rng rng(31);
+  for (const int side : {4, 8, 16}) {
+    const topo::TorusNetwork net(side, side);
+    const apps::CommCompiler compiler(net);
+    const int nodes = net.node_count();
+    for (const int conns : {0, 1, nodes, 4 * nodes, 12 * nodes}) {
+      obs::SchedCounters counters;
+      const auto schedule =
+          compiler.compile(patterns::random_pattern(nodes, conns, rng), &counters)
+              .schedule;
+      EXPECT_EQ(json_of(obs::report_schedule(schedule, &counters)),
+                json_of(map_report_schedule(schedule, &counters)))
+          << net.name() << ", " << conns << " connections";
+      EXPECT_EQ(json_of(obs::report_schedule(schedule)),
+                json_of(map_report_schedule(schedule, nullptr)));
+    }
+  }
 }
 
 TEST(RunReport, SlotOccupancyMirrorsTheSchedule) {

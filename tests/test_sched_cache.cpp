@@ -12,10 +12,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "io/cache_io.hpp"
 #include "io/pattern_io.hpp"
 #include "patterns/named.hpp"
 #include "sched/combined.hpp"
 #include "topo/torus.hpp"
+#include "util/failure.hpp"
 
 namespace {
 
@@ -46,6 +48,26 @@ apps::CachedCompilation compile_ring(const topo::TorusNetwork& net) {
   value.lower_bound = 2;
   value.winner = "coloring";
   return value;
+}
+
+/// `schedule` with its first connection left out: well-formed and
+/// conflict-free, but no longer a schedule of the pattern it came from.
+core::Schedule without_first_connection(const topo::Network& net,
+                                        const core::Schedule& schedule) {
+  core::Schedule out;
+  bool dropped = false;
+  for (const auto& config : schedule.configurations()) {
+    core::Configuration kept(net.link_count());
+    for (const auto& path : config.paths()) {
+      if (!dropped) {
+        dropped = true;
+        continue;
+      }
+      kept.add(path);
+    }
+    if (!kept.empty()) out.append(std::move(kept));
+  }
+  return out;
 }
 
 TEST(ScheduleCache, WarmMemoryHitIsByteIdentical) {
@@ -257,6 +279,79 @@ TEST(ScheduleCache, TruncatedEntryIsQuarantinedThenRecompiled) {
   ASSERT_TRUE(disk_hit.has_value());
   EXPECT_EQ(text_of(net, disk_hit->schedule), text_of(net, value.schedule));
   std::filesystem::remove_all(dir);
+}
+
+TEST(ScheduleCache, DiskEntryMissingAConnectionIsQuarantinedAndRecompiled) {
+  // The entry's key matches and every path checks out link by link, but
+  // the schedule drops one of the key's connections.  It must never be
+  // served: the lookup quarantines it and the next compute replaces it.
+  topo::TorusNetwork net(4, 4);
+  const auto dir = fresh_dir("dropped_connection");
+  const auto key = apps::make_cache_key(net, patterns::ring(net.node_count()),
+                                        "combined", sched::SchedOptions{});
+  const auto value = compile_ring(net);
+
+  std::filesystem::create_directories(dir);
+  {
+    io::CacheEntry entry{key.canonical(), value.lower_bound, value.winner,
+                         text_of(net, without_first_connection(net, value.schedule))};
+    std::ofstream out(entry_file(dir, key));
+    io::write_cache_entry(out, entry);
+  }
+
+  apps::ScheduleCache::Options options;
+  options.disk_dir = dir;
+  apps::ScheduleCache cache(net, options);
+  bool computed = false;
+  bool from_disk = true;
+  const auto served = cache.get_or_compute(
+      key, [&] { return compile_ring(net); }, &from_disk, &computed);
+  EXPECT_TRUE(computed);
+  EXPECT_FALSE(from_disk);
+  EXPECT_EQ(served.schedule.validate_against(key.pattern), std::nullopt);
+  EXPECT_EQ(text_of(net, served.schedule), text_of(net, value.schedule));
+  EXPECT_EQ(cache.stats().disk_rejects, 1);
+  EXPECT_EQ(cache.stats().disk_quarantined, 1);
+  EXPECT_TRUE(std::filesystem::exists(entry_file(dir, key) + ".quarantined"));
+
+  // The recompiled entry replaced it on disk: a fresh cache reads it back.
+  apps::ScheduleCache reader(net, options);
+  const auto hit = reader.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(text_of(net, hit->schedule), text_of(net, value.schedule));
+  EXPECT_EQ(reader.stats().disk_rejects, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScheduleCache, ScheduleNotRealizingItsKeyIsNeverStored) {
+  topo::TorusNetwork net(4, 4);
+  apps::ScheduleCache cache(net);
+  const auto key = apps::make_cache_key(net, patterns::ring(net.node_count()),
+                                        "combined", sched::SchedOptions{});
+  auto broken = compile_ring(net);
+  broken.schedule = without_first_connection(net, broken.schedule);
+
+  const auto expect_svc_internal = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "an invalid schedule entered the cache";
+    } catch (const util::Failure& e) {
+      EXPECT_EQ(e.code(), util::FailureCode::kSvcInternal);
+      EXPECT_NE(std::string(e.what()).find("compiled schedule failed validation"),
+                std::string::npos);
+    }
+  };
+  expect_svc_internal([&] { cache.store(key, broken); });
+  expect_svc_internal([&] { (void)cache.get_or_compute(key, [&] { return broken; }); });
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.stats().insertions, 0);
+
+  // The failed compute did not wedge the key.
+  bool computed = false;
+  (void)cache.get_or_compute(key, [&] { return compile_ring(net); }, nullptr,
+                             &computed);
+  EXPECT_TRUE(computed);
+  EXPECT_TRUE(cache.lookup(key).has_value());
 }
 
 TEST(ScheduleCache, RepeatedCorruptionKeepsTheLatestWreck) {

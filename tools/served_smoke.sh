@@ -22,6 +22,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Created before the daemon starts: the poll below reads the file, and a
+# background job's redirection may not have created it yet.
+: > "$workdir/served.out"
 "$SERVED" --listen=0 --workers=4 \
   > "$workdir/served.out" 2> "$workdir/served.err" &
 pid=$!
