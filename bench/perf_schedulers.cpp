@@ -71,19 +71,6 @@ void BM_ConflictGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictGraph)->Arg(100)->Arg(1000)->Arg(4000);
 
-// Construction-strategy comparison: the historical all-pairs O(n²)
-// LinkSet-intersection build against the link→paths inverted index the
-// default constructor now uses.
-void BM_ConflictGraphBruteForce(benchmark::State& state) {
-  const auto paths = core::route_all(
-      torus(), pattern_of_size(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto graph = core::ConflictGraph::brute_force(paths);
-    benchmark::DoNotOptimize(graph.edge_count());
-  }
-}
-BENCHMARK(BM_ConflictGraphBruteForce)->Arg(100)->Arg(1000)->Arg(4000);
-
 void BM_ConflictGraphLarge(benchmark::State& state) {
   const auto paths = core::route_all(
       big_torus(), big_pattern_of_size(static_cast<int>(state.range(0))));

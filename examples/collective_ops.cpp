@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "apps/program.hpp"
+#include "apps/pipeline.hpp"
 #include "collectives/collectives.hpp"
 #include "topo/torus.hpp"
 #include "util/cli.hpp"
@@ -19,7 +19,10 @@ int main(int argc, char** argv) {
   const auto chunk = args.get_int("chunk", 4);
 
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
+  // Per-phase schedules exactly as compiled: no cross-phase stitching.
+  apps::PipelineOptions options;
+  options.stitch = false;
+  apps::Pipeline pipeline(net, options);
 
   struct Row {
     apps::Program program;
@@ -47,7 +50,7 @@ int main(int argc, char** argv) {
   util::Table table({"collective", "phases", "max K", "total slots",
                      "data flow"});
   for (const auto& row : rows) {
-    const auto compiled = apps::compile_program(compiler, row.program);
+    const auto compiled = pipeline.compile(row.program).compiled;
     const auto run = apps::execute_program(compiled, row.program);
     table.add_row(
         {row.program.name,

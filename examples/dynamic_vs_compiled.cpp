@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "apps/workloads.hpp"
 #include "patterns/named.hpp"
 #include "sim/compiled.hpp"
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const auto forced_slots = args.get_int("message-slots", 0);
 
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
 
   apps::CommPhase phase;
   if (which == "gs") {
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::cout << "pattern " << phase.name << " (" << phase.problem << "), "
             << phase.messages.size() << " messages\n\n";
 
-  const auto compiled = compiler.compile(phase.pattern());
+  const auto compiled = pipeline.compile_phase(phase.pattern()).phase;
   const auto compiled_run =
       sim::simulate_compiled(compiled.schedule, phase.messages);
 

@@ -11,8 +11,7 @@
 
 #include <iostream>
 
-#include "apps/compiler.hpp"
-#include "apps/program.hpp"
+#include "apps/pipeline.hpp"
 #include "core/switch_program.hpp"
 #include "frontend/recognize.hpp"
 #include "topo/torus.hpp"
@@ -24,7 +23,7 @@ int main() {
   using frontend::ArrayRef;
 
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
 
   // -- 1. the arrays ------------------------------------------------------
   frontend::DistributedArray mesh;  // 64^3 mesh, 4x4x4 PE grid
@@ -65,7 +64,8 @@ int main() {
   util::Table table({"phase", "recognized as", "conns", "K", "registers",
                      "predicted slots"});
   for (const auto& recognized : phases) {
-    const auto compiled = compiler.compile(recognized.phase.pattern());
+    const auto compiled =
+        pipeline.compile_phase(recognized.phase.pattern()).phase;
     const core::SwitchProgram registers(net, compiled.schedule);
     if (const auto err = registers.verify(net, compiled.schedule)) {
       std::cerr << "register lowering failed: " << *err << '\n';

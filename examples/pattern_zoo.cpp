@@ -7,7 +7,7 @@
 
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "apps/workloads.hpp"
 #include "patterns/named.hpp"
 #include "topo/torus.hpp"
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   const util::CliArgs args(argc, argv);
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
 
   std::cout << "pattern zoo on " << net.name() << "\n\n";
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   util::Table table({"pattern", "connections", "K (combined)", "lower bound",
                      "winner"});
   for (const auto& row : rows) {
-    const auto compiled = compiler.compile(row.requests);
+    const auto compiled = pipeline.compile_phase(row.requests).phase;
     table.add_row({row.name,
                    util::Table::fmt(static_cast<std::int64_t>(row.requests.size())),
                    util::Table::fmt(std::int64_t{compiled.schedule.degree()}),
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   if (args.get_bool("show-config")) {
     // Fig.-1-style rendering: one configuration of the ring pattern, as
     // the set of simultaneously established connections.
-    const auto compiled = compiler.compile(patterns::ring(64));
+    const auto compiled =
+        pipeline.compile_phase(patterns::ring(64)).phase;
     std::cout << "\nconfiguration 0 of the ring schedule (Fig. 1 style):\n{";
     bool first = true;
     for (const auto& path : compiled.schedule.configuration(0).paths()) {

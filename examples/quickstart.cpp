@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "topo/torus.hpp"
 #include "util/cli.hpp"
 
@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
 
   // 3. Compile.  The combined algorithm runs the coloring heuristic and
   //    the ordered-AAPC algorithm and keeps the better schedule.
-  const apps::CommCompiler compiler(net);
-  const auto compiled = compiler.compile(pattern);
+  apps::Pipeline pipeline(net);
+  const auto compiled = pipeline.compile_phase(pattern).phase;
 
   std::cout << "pattern: " << pattern.size() << " connection requests\n"
             << "multiplexing degree K = " << compiled.schedule.degree()

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "redist/redistribution.hpp"
 #include "sim/compiled.hpp"
 #include "topo/torus.hpp"
@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
 
   // Compile the induced pattern and predict the communication time.
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
-  const auto compiled = compiler.compile(plan.pattern());
+  apps::Pipeline pipeline(net);
+  const auto compiled = pipeline.compile_phase(plan.pattern()).phase;
 
   std::vector<sim::Message> messages;
   for (const auto& t : plan.transfers)

@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "core/switch_program.hpp"
 #include "patterns/named.hpp"
 #include "topo/torus.hpp"
@@ -20,11 +20,11 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   topo::TorusNetwork net(static_cast<int>(args.get_int("cols", 4)),
                          static_cast<int>(args.get_int("rows", 4)));
-  const apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
 
   // The paper's Fig. 1 flavor: a handful of cross-machine connections.
   const core::RequestSet pattern{{4, 1}, {5, 3}, {6, 10}, {8, 9}, {11, 2}};
-  const auto compiled = compiler.compile(pattern);
+  const auto compiled = pipeline.compile_phase(pattern).phase;
 
   std::cout << "pattern of " << pattern.size() << " requests on "
             << net.name() << " -> K = " << compiled.schedule.degree()

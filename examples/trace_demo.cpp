@@ -20,7 +20,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "patterns/random.hpp"
@@ -49,9 +49,13 @@ int main(int argc, char** argv) {
   const auto messages = sim::uniform_messages(requests, slots);
 
   // --- Off-line scheduling, with phase counters. ---
-  const apps::CommCompiler compiler(net);
+  // Cache off: the counters report the scheduling phases of a cold
+  // compile and nothing else.
+  apps::PipelineOptions options;
+  options.use_cache = false;
+  apps::Pipeline pipeline(net, options);
   obs::SchedCounters counters;
-  const auto phase = compiler.compile(requests, &counters);
+  const auto phase = pipeline.compile_phase(requests, &counters).phase;
   std::cout << "compiled " << requests.size() << " requests to degree "
             << phase.schedule.degree() << " (winner: "
             << counters.combined_winner << ", lower bound "

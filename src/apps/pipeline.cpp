@@ -257,10 +257,10 @@ Pipeline::Pipeline(const topo::TorusNetwork& net, PipelineOptions options)
     : net_(&net),
       options_(std::move(options)),
       scheduler_(&sched::registry().at(options_.scheduler)) {
-  // The single-pattern compiler front-ends the combined scheduler with a
-  // precomputed AAPC decomposition; other schedulers don't need it.
+  // The combined scheduler runs against a precomputed AAPC decomposition;
+  // other schedulers don't need it.
   if (scheduler_->name() == "combined")
-    compiler_ = std::make_unique<CommCompiler>(net);
+    aapc_ = std::make_unique<aapc::TorusAapc>(net);
   if (options_.use_cache) {
     ScheduleCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
@@ -275,10 +275,16 @@ Pipeline::~Pipeline() = default;
 
 CompiledPhase Pipeline::cold_compile(const core::RequestSet& pattern,
                                      obs::SchedCounters* counters) const {
-  if (compiler_) return compiler_->compile(pattern, counters);
+  CompiledPhase phase;
+  if (aapc_) {
+    auto result = sched::combined_with_winner(*aapc_, pattern, counters,
+                                              &phase.lower_bound);
+    phase.schedule = std::move(result.schedule);
+    phase.winner = result.winner;
+    return phase;
+  }
   sched::SchedOptions local = options_.sched;
   local.counters = counters;
-  CompiledPhase phase;
   phase.schedule = scheduler_->schedule(pattern, *net_, local);
   const auto paths = core::route_all(*net_, pattern);
   phase.lower_bound = sched::multiplexing_lower_bound(*net_, paths);
@@ -291,7 +297,7 @@ PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern) {
 
 PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern,
                                          obs::SchedCounters* counters) {
-  const bool combined = compiler_ != nullptr;
+  const bool combined = aapc_ != nullptr;
   if (!cache_)
     return PhaseCompilation{cold_compile(pattern, counters), false, false, {}};
 
@@ -436,7 +442,7 @@ PipelineProgram Pipeline::compile(const Program& program) {
     results[j].phase = cold_compile(patterns[distinct[j]], nullptr);
   });
   if (cache_) {
-    const bool combined = compiler_ != nullptr;
+    const bool combined = aapc_ != nullptr;
     for (const std::size_t j : cold)
       cache_->store(keys[j], to_cached(results[j].phase, combined));
   }

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/compiler.hpp"
+#include "aapc/torus_aapc.hpp"
 #include "apps/program.hpp"
 #include "apps/sched_cache.hpp"
 #include "sched/reconfig.hpp"
@@ -13,12 +13,14 @@
 #include "topo/torus.hpp"
 
 /// \file pipeline.hpp
-/// The phase-aware compilation pipeline — the front door of the compiled-
-/// communication toolchain.
+/// The phase-aware compilation pipeline — the one front door of the
+/// compiled-communication toolchain.
 ///
-/// `CommCompiler` compiles one pattern; `Pipeline` compiles *programs*.
-/// It layers three things the paper's compile-once model makes natural on
-/// top of the single-pattern compiler:
+/// `Pipeline` compiles one pattern (`compile_phase`) or a whole program
+/// (`compile`) with a registry scheduler — by default the paper's combined
+/// algorithm, run off-line against a precomputed AAPC decomposition.  It
+/// layers three things the paper's compile-once model makes natural on
+/// top of the single-pattern compile:
 ///
 ///  1. **Content-addressed caching** (`ScheduleCache`): a compilation is
 ///     keyed by everything that determines its output, so recompiling an
@@ -212,7 +214,9 @@ class Pipeline {
   const topo::TorusNetwork* net_;
   PipelineOptions options_;
   const sched::Scheduler* scheduler_;
-  std::unique_ptr<CommCompiler> compiler_;
+  /// The AAPC decomposition the combined scheduler's ordered-AAPC branch
+  /// draws on; built once at construction, only for `combined`.
+  std::unique_ptr<aapc::TorusAapc> aapc_;
   std::unique_ptr<ScheduleCache> cache_;
 };
 

@@ -4,19 +4,6 @@
 
 namespace optdm::apps {
 
-CompiledProgram compile_program(const CommCompiler& compiler,
-                                const Program& program) {
-  CompiledProgram compiled;
-  compiled.phases.reserve(program.phases.size());
-  for (const auto& phase : program.phases) {
-    compiled.phases.push_back(compiler.compile(phase.pattern()));
-    compiled.max_degree =
-        std::max(compiled.max_degree,
-                 compiled.phases.back().schedule.degree());
-  }
-  return compiled;
-}
-
 ProgramRunResult execute_program(const CompiledProgram& compiled,
                                  const Program& program,
                                  const sim::CompiledParams& params,
@@ -48,44 +35,6 @@ ProgramRunResult execute_program(const CompiledProgram& compiled,
                               static_cast<std::int64_t>(program.iterations) *
                               static_cast<std::int64_t>(
                                   program.phases.empty() ? 1 : program.phases.size());
-  return result;
-}
-
-MergedProgram merge_phases(const CommCompiler& compiler,
-                           const Program& program, int degree_slack) {
-  if (degree_slack < 0)
-    throw std::invalid_argument("merge_phases: negative slack");
-  MergedProgram result;
-  result.program.name = program.name + " (merged)";
-  result.program.compute_slots = program.compute_slots;
-  result.program.iterations = program.iterations;
-
-  for (const auto& phase : program.phases) {
-    if (result.program.phases.empty()) {
-      result.program.phases.push_back(phase);
-      continue;
-    }
-    auto& last = result.program.phases.back();
-    const int degree_last =
-        compiler.compile(last.pattern()).schedule.degree();
-    const int degree_next =
-        compiler.compile(phase.pattern()).schedule.degree();
-
-    CommPhase merged;
-    merged.name = last.name + "+" + phase.name;
-    merged.problem = last.problem;
-    merged.messages = last.messages;
-    merged.messages.insert(merged.messages.end(), phase.messages.begin(),
-                           phase.messages.end());
-    const int degree_merged =
-        compiler.compile(merged.pattern()).schedule.degree();
-    if (degree_merged <= std::max(degree_last, degree_next) + degree_slack) {
-      last = std::move(merged);
-      ++result.merges;
-    } else {
-      result.program.phases.push_back(phase);
-    }
-  }
   return result;
 }
 

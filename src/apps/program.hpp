@@ -3,8 +3,10 @@
 #include <string>
 #include <vector>
 
-#include "apps/compiler.hpp"
 #include "apps/workloads.hpp"
+#include "core/schedule.hpp"
+#include "sched/combined.hpp"
+#include "sim/compiled.hpp"
 
 /// \file program.hpp
 /// Whole-program compiled communication.  A parallel program is a
@@ -12,7 +14,8 @@
 /// the compiler schedules *each phase with its own multiplexing degree*
 /// and emits register reloads at phase boundaries — the paper's Section 2:
 /// "different multiplexing degrees can be used in different phases of the
-/// parallel program".
+/// parallel program".  `Pipeline::compile` (pipeline.hpp) compiles a
+/// `Program` into a `CompiledProgram`; `execute_program` times it.
 ///
 /// `execute_program` also supports a fixed-frame mode that forces every
 /// phase onto one global multiplexing degree, quantifying the paper's
@@ -20,6 +23,18 @@
 /// phases whose optimal degree is smaller.
 
 namespace optdm::apps {
+
+/// A compiled communication phase.
+struct CompiledPhase {
+  /// The configuration set; its size is the multiplexing degree the TDM
+  /// network is programmed with for this phase.
+  core::Schedule schedule;
+  /// Which component heuristic won (coloring vs ordered-AAPC).
+  sched::CombinedWinner winner = sched::CombinedWinner::kColoring;
+  /// Lower bound on any schedule's degree for this pattern (link
+  /// congestion / clique); schedule.degree() >= lower_bound always.
+  int lower_bound = 0;
+};
 
 /// A program: communication phases with interleaved compute time.
 struct Program {
@@ -51,10 +66,6 @@ struct ProgramRunResult {
   std::vector<std::int64_t> phase_slots;
 };
 
-/// Compiles every phase of `program` with the combined algorithm.
-CompiledProgram compile_program(const CommCompiler& compiler,
-                                const Program& program);
-
 /// Executes a compiled program: phases run back to back, each paying the
 /// register-reload cost in `params` and its own transmission time.  If
 /// `fixed_frame` is positive, every phase is forced onto a TDM frame of
@@ -65,22 +76,5 @@ ProgramRunResult execute_program(const CompiledProgram& compiled,
                                  const Program& program,
                                  const sim::CompiledParams& params = {},
                                  std::int64_t fixed_frame = 0);
-
-/// Result of the phase-merging optimization pass.
-struct MergedProgram {
-  Program program;
-  /// Phase boundaries removed (each saves one register reload + barrier).
-  int merges = 0;
-};
-
-/// Compiler pass: greedily merges adjacent phases whenever the *union*
-/// pattern still schedules within `degree_slack` extra configurations of
-/// the larger constituent.  Merging trades a slightly longer frame for
-/// one fewer network reconfiguration and synchronization point — worth it
-/// exactly when the phases' connections barely conflict (e.g. the
-/// collectives' alternating sparse steps).  The merged program is
-/// re-verified phase by phase by the caller's normal compile path.
-MergedProgram merge_phases(const CommCompiler& compiler,
-                           const Program& program, int degree_slack = 0);
 
 }  // namespace optdm::apps

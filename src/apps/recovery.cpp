@@ -59,7 +59,7 @@ bool covers_pattern(const core::Schedule& schedule,
 
 }  // namespace
 
-RecoveryResult run_with_recovery(const CommCompiler& compiler,
+RecoveryResult run_with_recovery(Pipeline& pipeline,
                                  std::span<const sim::Message> messages,
                                  const sim::FaultTimeline& faults,
                                  const RecoveryParams& params,
@@ -73,7 +73,7 @@ RecoveryResult run_with_recovery(const CommCompiler& compiler,
   if (params.reconfig.latency < 0)
     throw std::invalid_argument("run_with_recovery: negative reconfig latency");
 
-  const auto& net = compiler.network();
+  const auto& net = pipeline.network();
   RecoveryResult out;
   out.messages.assign(messages.size(), sim::CompiledMessageStats{});
   for (auto& stats : out.messages) stats.completed = -1;
@@ -98,7 +98,8 @@ RecoveryResult run_with_recovery(const CommCompiler& compiler,
     int rerouted = 0;
     bool reused = false;
     if (round == 1) {
-      schedule = compiler.compile(pattern).schedule;
+      // Null counters: concurrent callers (sweep cells) share the pipeline.
+      schedule = pipeline.compile_phase(pattern, nullptr).phase.schedule;
     } else {
       if (params.reuse_schedules && params.reconfig.latency > 0 &&
           schedule.degree() > 0) {

@@ -3,7 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "sched/reconfig.hpp"
 #include "sim/compiled.hpp"
 #include "sim/faults.hpp"
@@ -106,16 +106,17 @@ struct RecoveryResult {
 };
 
 /// Runs `messages` through the detect-and-recompile loop against
-/// `faults`.  Round 1 compiles the full pattern with the paper's combined
-/// algorithm (fault-blind, as a real compiler would be); later rounds
-/// reroute the undelivered remainder around the links dead at recompile
-/// time.  Deterministic: same inputs, same result.  Throws
-/// `std::invalid_argument` for `max_rounds < 1`.
+/// `faults`.  Round 1 compiles the full pattern through `pipeline` (its
+/// scheduler — the paper's combined algorithm by default — and its cache;
+/// fault-blind, as a real compiler would be); later rounds reroute the
+/// undelivered remainder around the links dead at recompile time.  Safe
+/// to call concurrently on one pipeline.  Deterministic: same inputs,
+/// same result.  Throws `std::invalid_argument` for `max_rounds < 1`.
 ///
 /// A non-null `trace` records the loop's timeline on a "recovery" track
 /// (one span per transmission round, one per detection+recompile penalty)
 /// plus each round's engine-level events; a null trace is the no-op sink.
-RecoveryResult run_with_recovery(const CommCompiler& compiler,
+RecoveryResult run_with_recovery(Pipeline& pipeline,
                                  std::span<const sim::Message> messages,
                                  const sim::FaultTimeline& faults,
                                  const RecoveryParams& params = {},

@@ -337,10 +337,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 SweepRunner::SweepRunner(const topo::TorusNetwork& net, SweepOptions options)
     : net_(&net), options_(std::move(options)),
-      pipeline_(net, options_.pipeline) {
-  if (options_.recovery)
-    recovery_compiler_ = std::make_unique<CommCompiler>(net);
-}
+      pipeline_(net, options_.pipeline) {}
 
 SweepResult SweepRunner::prepare(const SweepGrid& grid) {
   SweepResult out;
@@ -358,8 +355,9 @@ SweepResult SweepRunner::prepare(const SweepGrid& grid) {
 
   // Stage 2 (serial): compile the compiled side in phase order through
   // the schedule cache, so hit/miss provenance is deterministic.  The
-  // recovery loop compiles internally against the live fault set, so a
-  // recovery sweep skips this stage.
+  // recovery loop compiles internally (round 1 through the same pipeline,
+  // later rounds against the live fault set), so a recovery sweep skips
+  // this stage.
   const bool one_shot_compiled = options_.run_compiled && !options_.recovery;
   if (one_shot_compiled) {
     out.compilations.reserve(grid.phases.size());
@@ -406,8 +404,8 @@ void SweepRunner::run_cells(const SweepGrid& grid, SweepResult& out,
       if (options_.recovery) {
         RecoveryParams recovery_params = options_.recovery_params;
         recovery_params.reconfig = reconfig;
-        cell.recovery = run_with_recovery(*recovery_compiler_, phase.messages,
-                                          timeline, recovery_params);
+        cell.recovery = run_with_recovery(pipeline_, phase.messages, timeline,
+                                          recovery_params);
         if (!cell.recovery->rounds.empty())
           cell.degree = cell.recovery->rounds.front().degree;
       } else {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -93,9 +92,9 @@ struct SweepOptions {
   /// Parameters of the compiled-side simulation.
   sim::CompiledParams compiled;
   /// Run the detect-and-recompile recovery loop for the compiled side
-  /// instead of the one-shot analytic model (fault sweeps).  Recovery
-  /// rounds compile against the live fault set, so this side bypasses
-  /// the schedule cache.
+  /// instead of the one-shot analytic model (fault sweeps).  Round 1
+  /// compiles through the sweep's pipeline and its cache; later rounds
+  /// compile against the live fault set and bypass the cache.
   bool recovery = false;
   RecoveryParams recovery_params;
 };
@@ -225,9 +224,8 @@ struct ShardOptions {
 };
 
 /// Expands and runs sweep grids against one network.  Construction
-/// resolves the pipeline (and, with `recovery`, the recovery compiler);
-/// `run` may be called repeatedly — later sweeps reuse the schedule
-/// cache warmed by earlier ones.
+/// resolves the pipeline; `run` may be called repeatedly — later sweeps
+/// reuse the schedule cache warmed by earlier ones.
 class SweepRunner {
  public:
   explicit SweepRunner(const topo::TorusNetwork& net,
@@ -286,8 +284,6 @@ class SweepRunner {
   const topo::TorusNetwork* net_;
   SweepOptions options_;
   Pipeline pipeline_;
-  /// Only constructed when `options.recovery` is set.
-  std::unique_ptr<CommCompiler> recovery_compiler_;
 };
 
 /// Lower-level escape hatch for drivers whose cells don't fit the

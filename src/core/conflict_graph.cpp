@@ -94,8 +94,8 @@ ConflictGraph::ConflictGraph(std::span<const Path> paths)
   adj_.resize(offsets_.back());
   edges_ = adj_.size() / 2;
 
-  // Emit each CSR row by scanning its bitmap words; bit order gives the
-  // ascending neighbor order the all-pairs construction produced.
+  // Emit each CSR row by scanning its bitmap words; bit order gives
+  // ascending neighbor order.
   util::parallel_for_chunks(
       static_cast<std::size_t>(n_),
       [&](std::size_t begin, std::size_t end) {
@@ -113,47 +113,6 @@ ConflictGraph::ConflictGraph(std::span<const Path> paths)
           }
         }
       });
-}
-
-ConflictGraph ConflictGraph::brute_force(std::span<const Path> paths) {
-  ConflictGraph graph;
-  graph.n_ = static_cast<int>(paths.size());
-  graph.row_words_ = (static_cast<std::size_t>(graph.n_) + 63) / 64;
-  graph.matrix_.assign(static_cast<std::size_t>(graph.n_) * graph.row_words_,
-                       0);
-
-  std::vector<std::vector<std::int32_t>> lists(
-      static_cast<std::size_t>(graph.n_));
-  for (std::int32_t i = 0; i < graph.n_; ++i) {
-    for (std::int32_t j = i + 1; j < graph.n_; ++j) {
-      if (paths[static_cast<std::size_t>(i)].conflicts_with(
-              paths[static_cast<std::size_t>(j)])) {
-        lists[static_cast<std::size_t>(i)].push_back(j);
-        lists[static_cast<std::size_t>(j)].push_back(i);
-        set_bit(graph.matrix_.data() +
-                    static_cast<std::size_t>(i) * graph.row_words_,
-                j);
-        set_bit(graph.matrix_.data() +
-                    static_cast<std::size_t>(j) * graph.row_words_,
-                i);
-      }
-    }
-  }
-  graph.finalize_csr(lists);
-  return graph;
-}
-
-void ConflictGraph::finalize_csr(
-    const std::vector<std::vector<std::int32_t>>& lists) {
-  offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (std::int32_t v = 0; v < n_; ++v)
-    offsets_[static_cast<std::size_t>(v) + 1] =
-        offsets_[static_cast<std::size_t>(v)] +
-        lists[static_cast<std::size_t>(v)].size();
-  adj_.reserve(offsets_.back());
-  for (const auto& list : lists)
-    adj_.insert(adj_.end(), list.begin(), list.end());
-  edges_ = adj_.size() / 2;
 }
 
 std::span<const std::int32_t> ConflictGraph::neighbors(std::int32_t v) const {

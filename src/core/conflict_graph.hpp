@@ -22,14 +22,10 @@ class ConflictGraph {
   /// O(Σ_link occupants(link)²) instead of the all-pairs
   /// O(n² · words) LinkSet intersection.  Per-vertex rows are discovered
   /// independently (and in parallel), deduplicated through the adjacency
-  /// bit-matrix; the result is identical to the brute-force construction.
+  /// bit-matrix; the result is exactly the all-pairs definition (checked
+  /// pair by pair in tests/test_conflict_graph_equivalence.cpp).
   /// Throws `std::invalid_argument` if the paths span different networks.
   explicit ConflictGraph(std::span<const Path> paths);
-
-  /// The historical all-pairs O(n²) construction.  Kept as the reference
-  /// implementation for the equivalence property tests and the
-  /// construction-strategy benchmarks; produces a bit-identical graph.
-  static ConflictGraph brute_force(std::span<const Path> paths);
 
   int vertex_count() const noexcept { return n_; }
 
@@ -50,10 +46,6 @@ class ConflictGraph {
   std::vector<std::int32_t> heuristic_clique() const;
 
  private:
-  ConflictGraph() = default;
-
-  void finalize_csr(const std::vector<std::vector<std::int32_t>>& lists);
-
   int n_ = 0;
   std::size_t edges_ = 0;
   /// CSR adjacency.

@@ -26,7 +26,7 @@
 ///    distributions of the same array.
 ///
 /// Both are lowered to a `CommPhase` (pattern + per-connection message
-/// volumes in slots) that feeds straight into `apps::CommCompiler`.
+/// volumes in slots) that feeds straight into `apps::Pipeline`.
 /// Because block-cyclic ownership and affine offsets are separable per
 /// dimension, the analysis is exact and runs in O(extent) per dimension,
 /// not O(elements).

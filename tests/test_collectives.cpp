@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "apps/program.hpp"
+#include "apps/pipeline.hpp"
 #include "collectives/collectives.hpp"
 #include "topo/torus.hpp"
 
@@ -8,6 +8,14 @@ namespace {
 
 using namespace optdm;
 using namespace optdm::collectives;
+
+/// Compiles every phase of `program` as-is (no cross-phase stitching).
+apps::CompiledProgram compile_unstitched(const topo::TorusNetwork& net,
+                                         const apps::Program& program) {
+  apps::PipelineOptions options;
+  options.stitch = false;
+  return apps::Pipeline(net, options).compile(program).compiled;
+}
 
 TEST(Broadcast, StructureAndDataFlow) {
   const auto program = broadcast(64, 0, 4);
@@ -78,10 +86,9 @@ TEST(Collectives, CompileOnTorusWithSmallDegrees) {
   // Each collective phase is sparse and structured; the compiler should
   // find small multiplexing degrees throughout.
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
   for (const auto& program :
        {broadcast(64, 0, 4), allgather_ring(64, 4), reduce_scatter(64, 1)}) {
-    const auto compiled = apps::compile_program(compiler, program);
+    const auto compiled = compile_unstitched(net, program);
     for (std::size_t p = 0; p < compiled.phases.size(); ++p) {
       EXPECT_EQ(compiled.phases[p].schedule.validate_against(
                     program.phases[p].pattern()),
@@ -95,9 +102,8 @@ TEST(Collectives, CompileOnTorusWithSmallDegrees) {
 
 TEST(Collectives, BroadcastLatencyScalesLogarithmically) {
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
   const auto program = broadcast(64, 0, 4);
-  const auto compiled = apps::compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   const auto run = apps::execute_program(compiled, program);
   ASSERT_EQ(run.phase_slots.size(), 6u);
   // Each step is a handful of disjoint transfers: a few frames each.
@@ -106,9 +112,8 @@ TEST(Collectives, BroadcastLatencyScalesLogarithmically) {
 
 TEST(Collectives, AllgatherTotalTimeLinearInN) {
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
   const auto program = allgather_ring(64, 4);
-  const auto compiled = apps::compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   const auto run = apps::execute_program(compiled, program);
   EXPECT_EQ(run.phase_slots.size(), 63u);
   // Every step is the same shift permutation: identical cost.
@@ -154,54 +159,6 @@ TEST(Allreduce, ComposesReduceScatterAndAllgather) {
   second_half.phases.assign(program.phases.begin() + 3,
                             program.phases.end());
   EXPECT_TRUE(verify_allgather(second_half, 8));
-}
-
-TEST(PhaseMerging, MergesCompatibleSparsePhases) {
-  // Broadcast steps 0..k are nearly disjoint pair sets: merging them
-  // keeps tiny degrees and removes register reloads.
-  topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
-  const auto program = collectives::broadcast(64, 0, 1);
-  const auto merged = apps::merge_phases(compiler, program, 1);
-  EXPECT_GT(merged.merges, 0);
-  EXPECT_LT(merged.program.phases.size(), program.phases.size());
-  // Message multiset is preserved.
-  std::size_t before = 0, after = 0;
-  for (const auto& p : program.phases) before += p.messages.size();
-  for (const auto& p : merged.program.phases) after += p.messages.size();
-  EXPECT_EQ(before, after);
-}
-
-TEST(PhaseMerging, RespectsDegreeBudget) {
-  topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
-  apps::Program program;
-  program.phases.push_back(apps::gs_phase(64, 64));      // K = 2
-  for (auto& phase : apps::p3m_phases(32))
-    program.phases.push_back(std::move(phase));          // K up to 64
-  const auto strict = apps::merge_phases(compiler, program, 0);
-  for (const auto& phase : strict.program.phases) {
-    // No merged phase may exceed the max constituent degree (slack 0)...
-    // verified indirectly: compiling each phase must stay <= 64.
-    EXPECT_LE(compiler.compile(phase.pattern()).schedule.degree(), 64);
-  }
-  EXPECT_THROW(apps::merge_phases(compiler, program, -1),
-               std::invalid_argument);
-}
-
-TEST(PhaseMerging, SavesSetupTimeWhenReloadsAreExpensive) {
-  topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
-  const auto program = collectives::broadcast(64, 0, 1);
-  const auto merged = apps::merge_phases(compiler, program, 1);
-  sim::CompiledParams params;
-  params.setup_slots = 50;  // expensive reconfiguration
-  const auto base = apps::execute_program(
-      apps::compile_program(compiler, program), program, params);
-  const auto optimized = apps::execute_program(
-      apps::compile_program(compiler, merged.program), merged.program,
-      params);
-  EXPECT_LT(optimized.comm_slots, base.comm_slots);
 }
 
 }  // namespace

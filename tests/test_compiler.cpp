@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
 #include "sched/bounds.hpp"
@@ -9,15 +9,20 @@
 namespace {
 
 using namespace optdm;
-using apps::CommCompiler;
+
+/// One cold compile through a default (combined-scheduler) pipeline.
+apps::CompiledPhase compile(const topo::TorusNetwork& net,
+                            const core::RequestSet& pattern) {
+  return apps::Pipeline(net).compile_phase(pattern).phase;
+}
 
 TEST(Compiler, CompilesPatternsWithValidSchedules) {
   topo::TorusNetwork net(8, 8);
-  CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   util::Rng rng(12);
   for (const int conns : {10, 200, 1000}) {
     const auto requests = patterns::random_pattern(64, conns, rng);
-    const auto compiled = compiler.compile(requests);
+    const auto compiled = pipeline.compile_phase(requests).phase;
     EXPECT_EQ(compiled.schedule.validate_against(requests), std::nullopt);
     EXPECT_GE(compiled.schedule.degree(), compiled.lower_bound);
   }
@@ -25,8 +30,7 @@ TEST(Compiler, CompilesPatternsWithValidSchedules) {
 
 TEST(Compiler, AllToAllCompilesToSixtyFour) {
   topo::TorusNetwork net(8, 8);
-  CommCompiler compiler(net);
-  const auto compiled = compiler.compile(patterns::all_to_all(64));
+  const auto compiled = compile(net, patterns::all_to_all(64));
   EXPECT_EQ(compiled.schedule.degree(), 64);
   EXPECT_EQ(compiled.winner, sched::CombinedWinner::kOrderedAapc);
   EXPECT_EQ(compiled.lower_bound, 64);
@@ -37,7 +41,7 @@ TEST(Compiler, AllToAllCompilesToSixtyFour) {
 // default routes, on every input shape a compile sees.
 void expect_bound_matches_routed_bound(const topo::TorusNetwork& net,
                                        const core::RequestSet& pattern) {
-  const auto compiled = CommCompiler(net).compile(pattern);
+  const auto compiled = compile(net, pattern);
   const auto paths = core::route_all(net, pattern);
   EXPECT_EQ(compiled.lower_bound, sched::multiplexing_lower_bound(net, paths))
       << net.name() << ", " << pattern.size() << " connections";
@@ -67,17 +71,23 @@ TEST(Compiler, LowerBoundIsTheRoutedBoundOnEdgePatterns) {
 
 TEST(Compiler, ExecutePredictsGsTimes) {
   topo::TorusNetwork net(8, 8);
-  CommCompiler compiler(net);
-  EXPECT_EQ(compiler.execute(apps::gs_phase(64, 64)).total_slots, 35);
-  EXPECT_EQ(compiler.execute(apps::gs_phase(128, 64)).total_slots, 67);
-  EXPECT_EQ(compiler.execute(apps::gs_phase(256, 64)).total_slots, 131);
+  apps::Pipeline pipeline(net);
+  const auto execute = [&](const apps::CommPhase& phase) {
+    return sim::simulate_compiled(
+               pipeline.compile_phase(phase.pattern()).phase.schedule,
+               phase.messages)
+        .total_slots;
+  };
+  EXPECT_EQ(execute(apps::gs_phase(64, 64)), 35);
+  EXPECT_EQ(execute(apps::gs_phase(128, 64)), 67);
+  EXPECT_EQ(execute(apps::gs_phase(256, 64)), 131);
 }
 
 TEST(Compiler, NetworkAccessorsExposeSubstrate) {
   topo::TorusNetwork net(4, 4);
-  CommCompiler compiler(net);
-  EXPECT_EQ(&compiler.network(), &net);
-  EXPECT_EQ(compiler.aapc().phase_count(), 16);
+  const apps::Pipeline pipeline(net);
+  EXPECT_EQ(&pipeline.network(), &net);
+  EXPECT_EQ(pipeline.scheduler().name(), "combined");
 }
 
 }  // namespace

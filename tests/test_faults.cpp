@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "apps/pipeline.hpp"
 #include "apps/recovery.hpp"
 #include "core/path.hpp"
 #include "core/switch_program.hpp"
@@ -387,14 +388,14 @@ TEST(Faults, TryRouteAroundFaultsReturnsPartialPlan) {
 
 TEST(Faults, RecompileLoopRestoresFullDeliveryOnSurvivingTopology) {
   topo::TorusNetwork net(8, 8);
-  apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   util::Rng rng(11);
   const auto requests = patterns::random_pattern(64, 50, rng);
   const auto messages = sim::uniform_messages(requests, 8);
 
   // Compile once fault-blind to find a link the schedule actually uses,
   // then kill it from slot 0 so round 1 is guaranteed lossy.
-  const auto phase = compiler.compile(requests);
+  const auto phase = pipeline.compile_phase(requests).phase;
   topo::LinkId victim = topo::kInvalidLink;
   for (const auto& path : phase.schedule.configuration(0).paths()) {
     for (const auto link : path.links)
@@ -408,7 +409,7 @@ TEST(Faults, RecompileLoopRestoresFullDeliveryOnSurvivingTopology) {
 
   FaultTimeline tl;
   tl.kill_link(victim, 0);
-  const auto result = apps::run_with_recovery(compiler, messages, tl);
+  const auto result = apps::run_with_recovery(pipeline, messages, tl);
   EXPECT_TRUE(result.all_delivered());
   EXPECT_GE(result.faults.recompiles, 1);
   EXPECT_GT(result.faults.payloads_lost, 0);
@@ -422,20 +423,20 @@ TEST(Faults, RecompileLoopRestoresFullDeliveryOnSurvivingTopology) {
   }
 
   // Deterministic end to end.
-  const auto again = apps::run_with_recovery(compiler, messages, tl);
+  const auto again = apps::run_with_recovery(pipeline, messages, tl);
   EXPECT_EQ(result.faults, again.faults);
   EXPECT_EQ(result.total_slots, again.total_slots);
 }
 
 TEST(Faults, RecoveryReportsUnroutableRequestsAsFailed) {
   topo::TorusNetwork net(8, 8);
-  apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   const core::RequestSet requests{{5, 6}, {0, 1}};
   const auto messages = sim::uniform_messages(requests, 4);
 
   FaultTimeline tl;
   tl.kill_link(net.injection_link(5), 0);  // node 5 cannot transmit, ever
-  const auto result = apps::run_with_recovery(compiler, messages, tl);
+  const auto result = apps::run_with_recovery(pipeline, messages, tl);
   EXPECT_FALSE(result.all_delivered());
   EXPECT_EQ(result.faults.messages_failed, 1);
   EXPECT_EQ(result.messages[0].outcome, MessageOutcome::kFailed);
@@ -445,7 +446,7 @@ TEST(Faults, RecoveryReportsUnroutableRequestsAsFailed) {
 
 TEST(Faults, RecoveryReusesTheStaleScheduleAfterATransientFlap) {
   topo::TorusNetwork net(8, 8);
-  apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   const core::RequestSet requests{{0, 1}};
   const std::vector<Message> messages{{{0, 1}, 20}};
 
@@ -457,7 +458,7 @@ TEST(Faults, RecoveryReusesTheStaleScheduleAfterATransientFlap) {
   apps::RecoveryParams params;
   params.reconfig.latency = 8;
   const auto result =
-      apps::run_with_recovery(compiler, messages, tl, params);
+      apps::run_with_recovery(pipeline, messages, tl, params);
   EXPECT_TRUE(result.all_delivered());
   ASSERT_EQ(result.rounds.size(), 2u);
   EXPECT_TRUE(result.rounds[1].reused);
@@ -471,7 +472,7 @@ TEST(Faults, RecoveryReusesTheStaleScheduleAfterATransientFlap) {
   auto no_reuse = params;
   no_reuse.reuse_schedules = false;
   const auto paid =
-      apps::run_with_recovery(compiler, messages, tl, no_reuse);
+      apps::run_with_recovery(pipeline, messages, tl, no_reuse);
   EXPECT_TRUE(paid.all_delivered());
   EXPECT_EQ(paid.faults.recompiles, 1);
   EXPECT_EQ(paid.reuse_decisions, 0);
@@ -481,7 +482,7 @@ TEST(Faults, RecoveryReusesTheStaleScheduleAfterATransientFlap) {
 
 TEST(Faults, RecoveryAtFreeReconfigurationIgnoresTheReuseKnob) {
   topo::TorusNetwork net(8, 8);
-  apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   const core::RequestSet requests{{0, 1}};
   const std::vector<Message> messages{{{0, 1}, 20}};
   FaultTimeline tl;
@@ -490,8 +491,8 @@ TEST(Faults, RecoveryAtFreeReconfigurationIgnoresTheReuseKnob) {
   apps::RecoveryParams on;   // latency = 0, reuse_schedules = true
   apps::RecoveryParams off;
   off.reuse_schedules = false;
-  const auto a = apps::run_with_recovery(compiler, messages, tl, on);
-  const auto b = apps::run_with_recovery(compiler, messages, tl, off);
+  const auto a = apps::run_with_recovery(pipeline, messages, tl, on);
+  const auto b = apps::run_with_recovery(pipeline, messages, tl, off);
   EXPECT_EQ(a.total_slots, b.total_slots);
   EXPECT_EQ(a.faults, b.faults);
   EXPECT_EQ(a.reconfig_slots_paid, 0);
@@ -500,18 +501,18 @@ TEST(Faults, RecoveryAtFreeReconfigurationIgnoresTheReuseKnob) {
 
 TEST(Faults, RecoveryWithHealthyFabricIsOneCleanRound) {
   topo::TorusNetwork net(8, 8);
-  apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   util::Rng rng(12);
   const auto requests = patterns::random_pattern(64, 40, rng);
   const auto messages = sim::uniform_messages(requests, 3);
 
   const auto result =
-      apps::run_with_recovery(compiler, messages, FaultTimeline{});
+      apps::run_with_recovery(pipeline, messages, FaultTimeline{});
   EXPECT_TRUE(result.all_delivered());
   EXPECT_EQ(result.faults.recompiles, 0);
   EXPECT_EQ(result.rounds.size(), 1u);
   // One fault-blind round equals the plain compiled run.
-  const auto plain = compiler.compile(requests);
+  const auto plain = pipeline.compile_phase(requests).phase;
   const auto reference = sim::simulate_compiled(plain.schedule, messages, {});
   EXPECT_EQ(result.total_slots, reference.total_slots);
 }

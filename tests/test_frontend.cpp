@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "apps/workloads.hpp"
 #include "frontend/recognize.hpp"
 #include "patterns/named.hpp"
@@ -201,15 +201,20 @@ TEST(Frontend, RecognizedGsPhaseCompilesLikeWorkloadGs) {
   // End to end: frontend-recognized GS == hand-written workload GS, both
   // through the compiler.
   topo::TorusNetwork net(8, 8);
-  const apps::CommCompiler compiler(net);
+  apps::Pipeline pipeline(net);
   const auto grid = gs_array();
   ForallAssign stmt;
   stmt.lhs = ArrayRef{&grid, {}};
   stmt.rhs = {ArrayRef{&grid, {AffineIndex{0}, AffineIndex{-1}, AffineIndex{0}}},
               ArrayRef{&grid, {AffineIndex{0}, AffineIndex{+1}, AffineIndex{0}}}};
   const auto recognized = recognize(stmt, apps::kWordsPerSlot);
-  const auto via_frontend = compiler.execute(recognized.phase);
-  const auto via_workload = compiler.execute(apps::gs_phase(64, 64));
+  const auto execute = [&](const apps::CommPhase& phase) {
+    return sim::simulate_compiled(
+        pipeline.compile_phase(phase.pattern()).phase.schedule,
+        phase.messages);
+  };
+  const auto via_frontend = execute(recognized.phase);
+  const auto via_workload = execute(apps::gs_phase(64, 64));
   EXPECT_EQ(via_frontend.total_slots, via_workload.total_slots);
 }
 

@@ -3,7 +3,7 @@
 #include <map>
 #include <sstream>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "core/switch_program.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -31,6 +31,20 @@ sim::SimOptions with(const sim::FaultTimeline* faults,
   o.faults = faults;
   o.trace = trace;
   return o;
+}
+
+/// A pipeline with the default (combined) scheduler and the cache off, so
+/// compile counters carry the scheduling phases and nothing else.
+apps::Pipeline cold_pipeline(const topo::TorusNetwork& net) {
+  apps::PipelineOptions options;
+  options.use_cache = false;
+  return apps::Pipeline(net, options);
+}
+
+apps::CompiledPhase compile(const topo::TorusNetwork& net,
+                            const core::RequestSet& pattern,
+                            obs::SchedCounters* counters = nullptr) {
+  return cold_pipeline(net).compile_phase(pattern, counters).phase;
 }
 
 struct Workload {
@@ -120,8 +134,7 @@ TEST(TraceAccounting, NullSinkIsByteIdentical) {
 
 TEST(TraceAccounting, CompiledPayloadSpansCoverEveryMessage) {
   const Workload w;
-  const apps::CommCompiler compiler(w.net);
-  const auto phase = compiler.compile(patterns::hypercube(64));
+  const auto phase = compile(w.net, patterns::hypercube(64));
   const auto messages =
       sim::uniform_messages(patterns::hypercube(64), 3);
 
@@ -147,7 +160,7 @@ TEST(TraceAccounting, CompiledPayloadSpansCoverEveryMessage) {
 TEST(TraceAccounting, HardwarePayloadSpansMatchDeliveries) {
   topo::TorusNetwork net(4, 4);
   const auto requests = patterns::transpose(16);
-  const auto schedule = apps::CommCompiler(net).compile(requests).schedule;
+  const auto schedule = compile(net, requests).schedule;
   const core::SwitchProgram program(net, schedule);
   const auto messages = sim::uniform_messages(requests, 2);
 
@@ -165,9 +178,8 @@ TEST(TraceAccounting, HardwarePayloadSpansMatchDeliveries) {
 
 TEST(RunReport, LinkSlotsSumToAggregateForAllEngines) {
   const Workload w;
-  const apps::CommCompiler compiler(w.net);
   obs::SchedCounters counters;
-  const auto phase = compiler.compile(patterns::hypercube(64), &counters);
+  const auto phase = compile(w.net, patterns::hypercube(64), &counters);
   const auto messages = sim::uniform_messages(patterns::hypercube(64), 3);
 
   const auto check = [](const obs::RunReport& report) {
@@ -237,13 +249,15 @@ TEST(RunReport, ScheduleReportMatchesTheMapOracleByteForByte) {
   util::Rng rng(31);
   for (const int side : {4, 8, 16}) {
     const topo::TorusNetwork net(side, side);
-    const apps::CommCompiler compiler(net);
+    auto pipeline = cold_pipeline(net);
     const int nodes = net.node_count();
     for (const int conns : {0, 1, nodes, 4 * nodes, 12 * nodes}) {
       obs::SchedCounters counters;
       const auto schedule =
-          compiler.compile(patterns::random_pattern(nodes, conns, rng), &counters)
-              .schedule;
+          pipeline
+              .compile_phase(patterns::random_pattern(nodes, conns, rng),
+                             &counters)
+              .phase.schedule;
       EXPECT_EQ(json_of(obs::report_schedule(schedule, &counters)),
                 json_of(map_report_schedule(schedule, &counters)))
           << net.name() << ", " << conns << " connections";
@@ -256,7 +270,7 @@ TEST(RunReport, ScheduleReportMatchesTheMapOracleByteForByte) {
 TEST(RunReport, SlotOccupancyMirrorsTheSchedule) {
   topo::TorusNetwork net(8, 8);
   const auto requests = patterns::ring(64);
-  const auto schedule = apps::CommCompiler(net).compile(requests).schedule;
+  const auto schedule = compile(net, requests).schedule;
   const auto report = obs::report_schedule(schedule);
 
   ASSERT_EQ(report.slots.size(),
@@ -295,8 +309,7 @@ TEST(RunReport, DynamicStallCausesAccountForRetries) {
 TEST(RunReport, JsonSerializesTheSchema) {
   const Workload w;
   obs::SchedCounters counters;
-  const auto phase =
-      apps::CommCompiler(w.net).compile(patterns::hypercube(64), &counters);
+  const auto phase = compile(w.net, patterns::hypercube(64), &counters);
   const auto messages = sim::uniform_messages(patterns::hypercube(64), 3);
   const auto result = sim::simulate_compiled(phase.schedule, messages);
   auto report = obs::report_compiled(phase.schedule, messages, result);
@@ -318,12 +331,11 @@ TEST(SchedCounters, PhasesMeasureAndNullSkips) {
   topo::TorusNetwork net(8, 8);
   util::Rng rng(92);
   const auto requests = patterns::random_pattern(64, 200, rng);
-  const apps::CommCompiler compiler(net);
-
   obs::SchedCounters counters;
   EXPECT_FALSE(counters.measured());
-  const auto counted = compiler.compile(requests, &counters);
-  const auto plain = compiler.compile(requests);
+  auto pipeline = cold_pipeline(net);
+  const auto counted = pipeline.compile_phase(requests, &counters).phase;
+  const auto plain = pipeline.compile_phase(requests).phase;
 
   EXPECT_TRUE(counters.measured());
   EXPECT_GE(counters.route_ns, 0);

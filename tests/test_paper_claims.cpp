@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "apps/compiler.hpp"
+#include "apps/pipeline.hpp"
 #include "apps/workloads.hpp"
 #include "patterns/named.hpp"
 #include "sim/dynamic.hpp"
@@ -17,7 +17,7 @@ using namespace optdm;
 
 class PaperClaims : public ::testing::Test {
  protected:
-  PaperClaims() : net_(8, 8), compiler_(net_) {}
+  PaperClaims() : net_(8, 8), pipeline_(net_) {}
 
   std::int64_t dynamic_time(const apps::CommPhase& phase, int k) {
     sim::DynamicParams params;
@@ -28,11 +28,17 @@ class PaperClaims : public ::testing::Test {
   }
 
   std::int64_t compiled_time(const apps::CommPhase& phase) {
-    return compiler_.execute(phase).total_slots;
+    return sim::simulate_compiled(compile(phase.pattern()).schedule,
+                                  phase.messages)
+        .total_slots;
+  }
+
+  apps::CompiledPhase compile(const core::RequestSet& pattern) {
+    return pipeline_.compile_phase(pattern).phase;
   }
 
   topo::TorusNetwork net_;
-  apps::CommCompiler compiler_;
+  apps::Pipeline pipeline_;
 };
 
 TEST_F(PaperClaims, CompiledOutperformsDynamicOnEveryStaticPattern) {
@@ -92,15 +98,12 @@ TEST_F(PaperClaims, CompiledUsesThePatternOptimalDegree) {
   // Paper Section 4.2 factor 4: each pattern has its own optimal degree
   // and the compiler picks it — GS gets 2, the hypercube 7-8, dense
   // redistributions the AAPC cap.
-  EXPECT_EQ(compiler_.compile(apps::gs_phase(64, 64).pattern())
-                .schedule.degree(),
-            2);
+  EXPECT_EQ(compile(apps::gs_phase(64, 64).pattern()).schedule.degree(), 2);
   const auto tscf =
-      compiler_.compile(apps::tscf_phase(64).pattern()).schedule.degree();
+      compile(apps::tscf_phase(64).pattern()).schedule.degree();
   EXPECT_GE(tscf, 6);
   EXPECT_LE(tscf, 8);
-  EXPECT_EQ(
-      compiler_.compile(patterns::all_to_all(64)).schedule.degree(), 64);
+  EXPECT_EQ(compile(patterns::all_to_all(64)).schedule.degree(), 64);
 }
 
 TEST_F(PaperClaims, NinetyFivePercentStoryHasTeeth) {
@@ -112,7 +115,7 @@ TEST_F(PaperClaims, NinetyFivePercentStoryHasTeeth) {
   phases.push_back(apps::tscf_phase(64));
   for (auto& p : apps::p3m_phases(64)) phases.push_back(std::move(p));
   for (const auto& phase : phases) {
-    const auto compiled = compiler_.compile(phase.pattern());
+    const auto compiled = compile(phase.pattern());
     EXPECT_EQ(compiled.schedule.validate_against(phase.pattern()),
               std::nullopt)
         << phase.name;

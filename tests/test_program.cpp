@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
-#include "apps/program.hpp"
+#include "apps/pipeline.hpp"
 
 namespace {
 
 using namespace optdm;
-using apps::CommCompiler;
-using apps::compile_program;
 using apps::execute_program;
 using apps::Program;
+
+/// Compiles every phase of `program` as-is (no cross-phase stitching).
+apps::CompiledProgram compile_unstitched(const topo::TorusNetwork& net,
+                                         const Program& program) {
+  apps::PipelineOptions options;
+  options.stitch = false;
+  return apps::Pipeline(net, options).compile(program).compiled;
+}
 
 Program gs_p3m_program() {
   Program program;
@@ -21,9 +27,8 @@ Program gs_p3m_program() {
 
 TEST(ProgramCompilation, CompilesEveryPhase) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   const auto program = gs_p3m_program();
-  const auto compiled = compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   ASSERT_EQ(compiled.phases.size(), program.phases.size());
   int max_degree = 0;
   for (std::size_t p = 0; p < compiled.phases.size(); ++p) {
@@ -37,11 +42,10 @@ TEST(ProgramCompilation, CompilesEveryPhase) {
 
 TEST(ProgramExecution, SumsPhaseTimes) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   Program program;
   program.phases.push_back(apps::gs_phase(64, 64));
   program.phases.push_back(apps::tscf_phase(64));
-  const auto compiled = compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   const auto run = execute_program(compiled, program);
   ASSERT_EQ(run.phase_slots.size(), 2u);
   EXPECT_EQ(run.comm_slots, run.phase_slots[0] + run.phase_slots[1]);
@@ -50,11 +54,10 @@ TEST(ProgramExecution, SumsPhaseTimes) {
 
 TEST(ProgramExecution, IterationsScaleCommTime) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   Program program;
   program.phases.push_back(apps::gs_phase(64, 64));
   program.iterations = 5;
-  const auto compiled = compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   const auto once = execute_program(
       compiled, [&] { auto p = program; p.iterations = 1; return p; }());
   const auto five = execute_program(compiled, program);
@@ -63,11 +66,10 @@ TEST(ProgramExecution, IterationsScaleCommTime) {
 
 TEST(ProgramExecution, ComputeSlotsAreAccounted) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   Program program;
   program.phases.push_back(apps::tscf_phase(64));
   program.compute_slots = 100;
-  const auto compiled = compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
   const auto run = execute_program(compiled, program);
   EXPECT_EQ(run.total_slots, run.comm_slots + 100);
 }
@@ -76,9 +78,8 @@ TEST(ProgramExecution, FixedFrameNeverFasterAndUsuallySlower) {
   // Forcing every phase onto the largest degree (the fixed-K design the
   // paper's Section 4.2 argues against) can only slow phases down.
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   const auto program = gs_p3m_program();
-  const auto compiled = compile_program(compiler, program);
+  const auto compiled = compile_unstitched(net, program);
 
   const auto adaptive = execute_program(compiled, program);
   const auto fixed =
@@ -92,10 +93,9 @@ TEST(ProgramExecution, FixedFrameNeverFasterAndUsuallySlower) {
 
 TEST(ProgramExecution, RejectsBadArguments) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   Program program;
   program.phases.push_back(apps::tscf_phase(64));
-  auto compiled = compile_program(compiler, program);
+  auto compiled = compile_unstitched(net, program);
 
   auto zero_iters = program;
   zero_iters.iterations = 0;
@@ -111,9 +111,9 @@ TEST(ProgramExecution, RejectsBadArguments) {
 
 TEST(FramePadding, PaddedFrameSlowsSimulatedTransmission) {
   topo::TorusNetwork net(8, 8);
-  const CommCompiler compiler(net);
   const auto phase = apps::gs_phase(64, 64);
-  const auto compiled = compiler.compile(phase.pattern());
+  const auto compiled =
+      apps::Pipeline(net).compile_phase(phase.pattern()).phase;
   sim::CompiledParams padded;
   padded.frame_slots = 10;
   const auto normal = sim::simulate_compiled(compiled.schedule, phase.messages);

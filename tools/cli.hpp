@@ -124,7 +124,8 @@ inline std::string usage(const std::string& tool, const std::string& intro,
   for (const auto& flag : table) {
     std::string head = std::string("  --") + flag.name;
     if (flag.value[0] != '\0') head += std::string("=") + flag.value;
-    while (head.size() < 20) head += ' ';
+    // Help text starts in column 20, or two spaces after a longer head.
+    head.append(head.size() < 18 ? 20 - head.size() : 2, ' ');
     out += head + flag.help + "\n";
   }
   out += "  --help            this text\n";
